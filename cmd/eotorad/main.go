@@ -74,7 +74,7 @@ func run(args []string) error {
 		escChecks  = fs.Int("escalate-checks", 0, "counted slot budget while escalated (deterministic alternative)")
 		slotDL     = fs.Duration("slot-deadline", 0, "steady-state wall-clock slot budget (0 = none; see OPERATIONS.md)")
 		slotChecks = fs.Int("slot-checks", 0, "steady-state counted slot budget (0 = none)")
-		slotWork   = fs.Int("slot-workers", 0, "intra-slot solver workers (0 = all cores, 1 = serial)")
+		slotWork   = fs.Int("slot-workers", 0, "workers for the sharded solve's per-shard interiors (0 = all cores, 1 = serial; used only with -shards)")
 		shortlist  = fs.Int("shortlist", 0, "CGBA shortlist width k (0 = library default, -1 = exact)")
 		shards     = fs.Int("shards", 0, "shard the slot solve (0/1 = off, -1 = one per cluster, ≥2 = at most that many)")
 		snapshotTo = fs.String("snapshot", "", "snapshot file written every -snapshot-every and on shutdown")
@@ -83,6 +83,9 @@ func run(args []string) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *slotWork < 0 {
+		return fmt.Errorf("invalid -slot-workers %d (want 0 = all cores, or ≥ 1)", *slotWork)
 	}
 
 	spec, err := topology.SpecByName(*topoName, *devices)

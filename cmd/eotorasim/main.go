@@ -55,7 +55,7 @@ func run(args []string) error {
 		saveTo     = fs.String("checkpoint", "", "write a checkpoint file after the run")
 		metrics    = fs.String("metrics", "", "serve expvar (/debug/vars) and pprof (/debug/pprof) on this address during the run, e.g. :6060")
 		obsOut     = fs.String("obs-out", "", "write the observability snapshot here after the run (.csv → CSV, else JSON)")
-		slotWork   = fs.Int("slot-workers", 0, "intra-slot solver workers (0 = all cores, 1 = serial); results are bit-identical at any setting")
+		slotWork   = fs.Int("slot-workers", 0, "workers for the sharded solve's per-shard interiors (0 = all cores, 1 = serial; used only with -shards); results are bit-identical at any setting")
 		slotDL     = fs.Duration("slot-deadline", 0, "per-slot wall-clock budget for the solver (0 = none); expired slots fall down the degradation ladder (see OPERATIONS.md)")
 		slotChecks = fs.Int("slot-checks", 0, "per-slot solver checkpoint budget (0 = none); deterministic alternative to -slot-deadline")
 		faultsOn   = fs.Bool("faults", false, "inject seeded faults (trace corruption, outages, capacity loss, solver stalls) with the soak profile; repairs via trace.Sanitizer stay on")
@@ -68,6 +68,9 @@ func run(args []string) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *slotWork < 0 {
+		return fmt.Errorf("invalid -slot-workers %d (want 0 = all cores, or ≥ 1)", *slotWork)
 	}
 
 	if *configFile != "" {
@@ -333,9 +336,10 @@ func applyRobustness(pol policy.Policy, src trace.Source, deadline time.Duration
 }
 
 // attachPool gives the policy an intra-slot worker pool of the requested
-// size (0 = GOMAXPROCS, ≤1 = stay serial) and returns the cleanup that
-// releases the workers. Parallel slot solves are bit-identical to serial,
-// so the flag only changes wall-clock time; policies without the
+// size (0 = GOMAXPROCS, 1 = stay serial; run rejects negative sizes) and
+// returns the cleanup that releases the workers. Only the sharded solve
+// (-shards) runs on the pool, and its results are bit-identical to
+// serial, so the flag only changes wall-clock time; policies without the
 // capability simply stay serial.
 func attachPool(pol policy.Policy, workers int) func() {
 	ps, ok := pol.(policy.PoolSetter)

@@ -37,6 +37,7 @@ func TestRunValidationErrors(t *testing.T) {
 		{"missing config", []string{"-config", "/nonexistent.json"}},
 		{"unknown topology", []string{"-devices", "5", "-slots", "4", "-topology", "ocean"}},
 		{"bad shards", []string{"-devices", "5", "-slots", "4", "-shards", "-2"}},
+		{"bad slot workers", []string{"-devices", "5", "-slots", "4", "-slot-workers", "-2"}},
 		{"shards on mcba", []string{"-devices", "5", "-slots", "4", "-solver", "mcba", "-shards", "2"}},
 		{"audit without shards", []string{"-devices", "5", "-slots", "4", "-shard-audit", "3"}},
 	}

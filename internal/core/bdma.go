@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"eotora/internal/game"
-	"eotora/internal/par"
 	"eotora/internal/rng"
 	"eotora/internal/solver"
 	"eotora/internal/trace"
@@ -62,26 +61,25 @@ type BDMAResult struct {
 // V·T(ᾱ) + Q·Θ(Ω̄) ≤ R·V·T(α) + Q·Θ(Ω) for any feasible α, with
 // R = 2.62·R_F/(1−8λ) and R_F = max_n F_n^U/F_n^L.
 func (s *System) BDMA(st *trace.State, v, q float64, cfg BDMAConfig, src *rng.Source) (BDMAResult, error) {
-	return s.bdmaScratch(st, v, q, cfg, src, nil, solveInstr{}, nil, nil)
+	return s.bdmaScratch(st, v, q, cfg, src, nil, solveInstr{}, nil)
 }
 
 // bdmaScratch is BDMA with an optional reusable P2A; the controller passes
 // its per-instance scratch so steady-state slots rebuild the game arena in
-// place instead of reallocating it, plus its solve instruments and its
-// worker pool (nil = serial; results are bit-identical either way). dl is
-// the optional slot deadline threaded down to the round checkpoints, the
-// P2-A engine, and P2-B (nil never expires).
-func (s *System) bdmaScratch(st *trace.State, v, q float64, cfg BDMAConfig, src *rng.Source, scratch *P2A, in solveInstr, pool *par.Pool, dl *solver.Deadline) (BDMAResult, error) {
+// place instead of reallocating it, plus its solve instruments. dl is the
+// optional slot deadline threaded down to the round checkpoints, the P2-A
+// engine, and P2-B (nil never expires).
+func (s *System) bdmaScratch(st *trace.State, v, q float64, cfg BDMAConfig, src *rng.Source, scratch *P2A, in solveInstr, dl *solver.Deadline) (BDMAResult, error) {
 	if q < 0 || math.IsNaN(q) {
 		return BDMAResult{}, fmt.Errorf("core: BDMA needs Q ≥ 0, got %v", q)
 	}
 	solve := func(sel Selection, sdl *solver.Deadline) (Frequencies, error) {
-		return s.solveP2B(sel, st, v, func(int) float64 { return q }, in, pool, sdl)
+		return s.solveP2B(sel, st, v, func(int) float64 { return q }, in, sdl)
 	}
 	objective := func(sel Selection, freq Frequencies) float64 {
-		return s.p2Objective(sel, freq, st, v, q, pool)
+		return s.P2Objective(sel, freq, st, v, q)
 	}
-	best, err := s.bdmaLoop(st, cfg, src, solve, objective, scratch, in, pool, dl)
+	best, err := s.bdmaLoop(st, cfg, src, solve, objective, scratch, in, dl)
 	if err != nil {
 		return BDMAResult{}, err
 	}
@@ -95,10 +93,7 @@ func (s *System) bdmaScratch(st *trace.State, v, q float64, cfg BDMAConfig, src 
 // reusable P2A; round 0 rebuilds it for the slot state and later rounds
 // only reweight the N compute resources (the sole Ω-dependent part of the
 // game), skipping the structural rebuild entirely. in records the
-// alternation's round statistics (zero value records nothing); pool is
-// the intra-slot worker pool handed down to the P2-A engine (sharded
-// best-response scoring) — P2-B and the objective closures captured it
-// already.
+// alternation's round statistics (zero value records nothing).
 //
 // dl, when non-nil, is the slot deadline. Checkpoints sit at round
 // boundaries, inside the P2-A engine's iteration loop, and at P2-B entry.
@@ -116,7 +111,6 @@ func (s *System) bdmaLoop(
 	objective func(Selection, Frequencies) float64,
 	scratch *P2A,
 	in solveInstr,
-	pool *par.Pool,
 	dl *solver.Deadline,
 ) (BDMAResult, error) {
 	if err := s.CheckState(st); err != nil {
@@ -133,7 +127,6 @@ func (s *System) bdmaLoop(
 	if scratch == nil {
 		scratch = new(P2A)
 	}
-	scratch.SetPool(pool)
 	scratch.SetDeadline(dl)
 
 	freq := s.LowestFrequencies()
@@ -142,8 +135,7 @@ func (s *System) bdmaLoop(
 	rounds := 0
 	var warm game.Profile
 	for iter := 0; iter < iters; iter++ {
-		// Round-boundary checkpoint: one poll per round, so counted
-		// budgets degrade identically at every pool size.
+		// Round-boundary checkpoint: one poll per round.
 		if iter > 0 && dl.Expired() {
 			best.Degraded = true
 			break
@@ -216,7 +208,7 @@ func (s *System) bdmaLoop(
 	}
 	in.bdmaRounds.Add(int64(rounds))
 	in.bdmaBestRound.Observe(float64(bestRound))
-	best.Latency = s.reducedLatency(best.Selection, best.Freq, st, pool).Value()
+	best.Latency = s.ReducedLatency(best.Selection, best.Freq, st).Value()
 	return best, nil
 }
 

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"eotora/internal/obs"
-	"eotora/internal/par"
 	"eotora/internal/rng"
 	"eotora/internal/topology"
 	"eotora/internal/trace"
@@ -124,33 +123,6 @@ func BenchmarkControllerStep(b *testing.B) {
 	}
 }
 
-// BenchmarkControllerStepPar is BenchmarkControllerStep with a
-// GOMAXPROCS-sized worker pool attached — the benchstat pair for the
-// serial-vs-parallel speedup table in README.md. Decisions are
-// bit-identical to the serial run (TestControllerPoolMatrix), so the
-// pair isolates pure scheduling cost/benefit.
-func BenchmarkControllerStepPar(b *testing.B) {
-	for _, devices := range []int{25, 50, 100, 300} {
-		b.Run(fmt.Sprintf("devices=%d", devices), func(b *testing.B) {
-			sys, gen := benchSystem(b, devices)
-			ctrl, err := NewBDMAController(sys, 100, 5, 0, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			pool := par.New(0)
-			defer pool.Close()
-			ctrl.SetPool(pool)
-			states := trace.Record(gen, 32)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := ctrl.Step(states[i%len(states)]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkControllerStepObs is BenchmarkControllerStep with a live obs
 // registry attached — the -benchmem pair for the observability overhead
 // budget: within ~5% of the uninstrumented run and zero additional
@@ -206,23 +178,6 @@ func BenchmarkSolveP2B(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sys.SolveP2B(sel, st, 100, 10); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSolveP2BPar shards the per-server golden-section solves over
-// a GOMAXPROCS-sized pool.
-func BenchmarkSolveP2BPar(b *testing.B) {
-	sys, gen := benchSystem(b, 100)
-	st := gen.Next()
-	sel := feasibleSelection(b, sys, st, 1)
-	pool := par.New(0)
-	defer pool.Close()
-	qOf := func(int) float64 { return 10 }
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sys.solveP2B(sel, st, 100, qOf, solveInstr{}, pool, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

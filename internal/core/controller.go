@@ -114,9 +114,9 @@ type Controller struct {
 	slot  int
 	p2a   P2A // reusable P2-A instance; BDMA rebuilds it in place each slot
 
-	// pool is the intra-slot worker pool attached with SetPool (nil =
-	// serial); it parallelizes the per-slot solve without changing any
-	// decision bit.
+	// pool is the worker pool attached with SetPool (nil = serial); the
+	// sharded solve's interior sweeps run on it without changing any
+	// decision bit. The controller keeps it to instrument it in SetObs.
 	pool *par.Pool
 
 	// Slot-deadline state. dl is the controller-owned deadline re-armed
@@ -250,22 +250,19 @@ func (c *Controller) SetLambda(lambda float64) error {
 	return nil
 }
 
-// SetPool attaches a worker pool to the controller's per-slot solve:
-// P2-B's per-server minimizations, the P2-A engine's best-response
-// rescans, and the Lemma-1 accumulators run sharded across the pool's
-// workers. Decisions, objectives, iteration counts, and the RNG draw
-// sequence are bit-identical to the serial path for every pool size
-// (DESIGN.md §9); nil detaches the pool. The pool must not be shared by
-// controllers stepping concurrently — give each concurrent controller
-// its own (as sim.Sweep does).
+// SetPool attaches a worker pool to the controller's per-slot solve. Its
+// only user is the sharded solve (SetShards): each round's per-shard
+// interior sweeps run across the pool's workers. An unsharded controller
+// never enters a pool region. Decisions, objectives, iteration counts,
+// and the RNG draw sequence are bit-identical to the serial path for
+// every pool size (DESIGN.md §9); nil detaches the pool. The pool must
+// not be shared by controllers stepping concurrently — give each
+// concurrent controller its own (as sim.Sweep does).
 func (c *Controller) SetPool(p *par.Pool) {
 	c.pool = p
 	c.p2a.SetPool(p)
 	p.Instrument(c.obs)
 }
-
-// Pool returns the pool attached with SetPool, or nil.
-func (c *Controller) Pool() *par.Pool { return c.pool }
 
 // SetShortlist overrides the CGBA best-response shortlist width for this
 // controller's slot solves (see game.CGBAConfig.Shortlist: 0 keeps the
@@ -374,9 +371,9 @@ func (c *Controller) StepWithObservation(observed, realized *trace.State) (*Slot
 		err error
 	)
 	if c.rooms != nil {
-		res, err = c.sys.bdmaRoomsScratch(observed, c.dpp.V, c.rooms.Backlogs(), c.cfg.BDMA, src, &c.p2a, c.instr.solve, c.pool, dl)
+		res, err = c.sys.bdmaRoomsScratch(observed, c.dpp.V, c.rooms.Backlogs(), c.cfg.BDMA, src, &c.p2a, c.instr.solve, dl)
 	} else {
-		res, err = c.sys.bdmaScratch(observed, c.dpp.V, c.dpp.Queue.Backlog(), c.cfg.BDMA, src, &c.p2a, c.instr.solve, c.pool, dl)
+		res, err = c.sys.bdmaScratch(observed, c.dpp.V, c.dpp.Queue.Backlog(), c.cfg.BDMA, src, &c.p2a, c.instr.solve, dl)
 	}
 	rung := RungFull
 	if err == nil && res.Degraded {
@@ -424,7 +421,7 @@ func (c *Controller) StepWithObservation(observed, realized *trace.State) (*Slot
 
 	// Materialize the allocation from the observed state (shares are part
 	// of the decision) and experience it under the realized state.
-	alloc := c.sys.optimalAllocation(res.Selection, observed, c.pool)
+	alloc := c.sys.OptimalAllocation(res.Selection, observed)
 	decision := Decision{Selection: res.Selection, Allocation: alloc, Freq: res.Freq}
 	total, perDevice := c.sys.LatencyOf(decision, realized)
 
@@ -629,17 +626,17 @@ func (c *Controller) greedyDecision(st *trace.State) (BDMAResult, error) {
 // bdmaRoomsScratch report for a full solve.
 func (c *Controller) priceDecision(res BDMAResult, st *trace.State) BDMAResult {
 	if c.rooms != nil {
-		res.Objective = c.sys.p2ObjectiveRooms(res.Selection, res.Freq, st, c.dpp.V, c.rooms.Backlogs(), c.pool)
+		res.Objective = c.sys.P2ObjectiveRooms(res.Selection, res.Freq, st, c.dpp.V, c.rooms.Backlogs())
 		res.RoomThetas = c.sys.RoomThetasActive(res.Freq, st.Price, st.ServerActive)
 		res.Theta = 0
 		for _, theta := range res.RoomThetas {
 			res.Theta += theta
 		}
 	} else {
-		res.Objective = c.sys.p2Objective(res.Selection, res.Freq, st, c.dpp.V, c.dpp.Queue.Backlog(), c.pool)
+		res.Objective = c.sys.P2Objective(res.Selection, res.Freq, st, c.dpp.V, c.dpp.Queue.Backlog())
 		res.Theta = c.sys.ThetaActive(res.Freq, st.Price, st.ServerActive)
 	}
-	res.Latency = c.sys.reducedLatency(res.Selection, res.Freq, st, c.pool).Value()
+	res.Latency = c.sys.ReducedLatency(res.Selection, res.Freq, st).Value()
 	return res
 }
 

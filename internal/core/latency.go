@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 
-	"eotora/internal/par"
 	"eotora/internal/trace"
 	"eotora/internal/units"
 )
@@ -17,12 +16,6 @@ import (
 // resource sum to exactly 1, which saturates constraints (4)–(6) as the
 // KKT conditions require.
 func (s *System) OptimalAllocation(sel Selection, st *trace.State) Allocation {
-	return s.optimalAllocation(sel, st, nil)
-}
-
-// optimalAllocation is OptimalAllocation with an optional pool sharding
-// the Lemma-1 denominator accumulation (bit-identical; see lemma1Task).
-func (s *System) optimalAllocation(sel Selection, st *trace.State, pool *par.Pool) Allocation {
 	devices := len(sel.Station)
 	a := Allocation{
 		AccessShare:    make([]float64, devices),
@@ -33,7 +26,7 @@ func (s *System) optimalAllocation(sel Selection, st *trace.State, pool *par.Poo
 	// Per-station and per-server denominators: Σ_j √(d_j/h_j), Σ_j √(f_j/σ_j).
 	sums := borrowSums(len(s.Net.BaseStations), len(s.Net.Servers))
 	defer sums.release()
-	sums.accumulate(s, sel, st, pool)
+	sums.accumulate(s, sel, st)
 	accessDen, fronthaulDen, computeDen := sums.access, sums.fronthaul, sums.compute
 	for i := 0; i < devices; i++ {
 		k, n := sel.Station[i], sel.Server[i]
@@ -110,16 +103,9 @@ func (s *System) LatencyOf(d Decision, st *trace.State) (total units.Seconds, pe
 //
 // where ω_n is the server's aggregate capacity at its per-core frequency.
 func (s *System) ReducedLatency(sel Selection, freq Frequencies, st *trace.State) units.Seconds {
-	return s.reducedLatency(sel, freq, st, nil)
-}
-
-// reducedLatency is ReducedLatency with an optional pool sharding the
-// Lemma-1 accumulation; the Σ sum²/bandwidth reduction stays serial in
-// resource order, so the total is bit-identical for every pool size.
-func (s *System) reducedLatency(sel Selection, freq Frequencies, st *trace.State, pool *par.Pool) units.Seconds {
 	sums := borrowSums(len(s.Net.BaseStations), len(s.Net.Servers))
 	defer sums.release()
-	sums.accumulate(s, sel, st, pool)
+	sums.accumulate(s, sel, st)
 	accessSum, fronthaulSum, computeSum := sums.access, sums.fronthaul, sums.compute
 	total := 0.0
 	for k, bs := range s.Net.BaseStations {

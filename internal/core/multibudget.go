@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"eotora/internal/par"
 	"eotora/internal/rng"
 	"eotora/internal/solver"
 	"eotora/internal/trace"
@@ -110,34 +109,28 @@ func (s *System) RoomThetasActive(freq Frequencies, price units.Price, active []
 // energy term is weighted by qByRoom of its hosting room.
 func (s *System) SolveP2BPerRoom(sel Selection, st *trace.State, v float64, qByRoom map[int]float64) (Frequencies, error) {
 	qOf := func(n int) float64 { return qByRoom[s.Net.Servers[n].Room] }
-	return s.solveP2B(sel, st, v, qOf, solveInstr{}, nil, nil)
+	return s.solveP2B(sel, st, v, qOf, solveInstr{}, nil)
 }
 
 // P2ObjectiveRooms evaluates V·T_t + Σ_m Q_m·Θ_m for a candidate decision.
 func (s *System) P2ObjectiveRooms(sel Selection, freq Frequencies, st *trace.State, v float64, qByRoom map[int]float64) float64 {
-	return s.p2ObjectiveRooms(sel, freq, st, v, qByRoom, nil)
-}
-
-// p2ObjectiveRooms is P2ObjectiveRooms with an optional worker pool for
-// the Lemma-1 accumulation inside the reduced latency.
-func (s *System) p2ObjectiveRooms(sel Selection, freq Frequencies, st *trace.State, v float64, qByRoom map[int]float64, pool *par.Pool) float64 {
 	penalty := 0.0
 	for room, theta := range s.RoomThetasActive(freq, st.Price, st.ServerActive) {
 		penalty += qByRoom[room] * theta
 	}
-	return v*s.reducedLatency(sel, freq, st, pool).Value() + penalty
+	return v*s.ReducedLatency(sel, freq, st).Value() + penalty
 }
 
 // BDMARooms runs Algorithm 2 under per-room budgets: the alternation is
 // identical, but P2-B weighs each server's energy by its room's queue and
 // the objective sums the per-room drift terms.
 func (s *System) BDMARooms(st *trace.State, v float64, qByRoom map[int]float64, cfg BDMAConfig, src *rng.Source) (BDMAResult, error) {
-	return s.bdmaRoomsScratch(st, v, qByRoom, cfg, src, nil, solveInstr{}, nil, nil)
+	return s.bdmaRoomsScratch(st, v, qByRoom, cfg, src, nil, solveInstr{}, nil)
 }
 
 // bdmaRoomsScratch is BDMARooms with an optional reusable P2A, solve
-// instruments, worker pool, and slot deadline (see bdmaScratch).
-func (s *System) bdmaRoomsScratch(st *trace.State, v float64, qByRoom map[int]float64, cfg BDMAConfig, src *rng.Source, scratch *P2A, in solveInstr, pool *par.Pool, dl *solver.Deadline) (BDMAResult, error) {
+// instruments, and slot deadline (see bdmaScratch).
+func (s *System) bdmaRoomsScratch(st *trace.State, v float64, qByRoom map[int]float64, cfg BDMAConfig, src *rng.Source, scratch *P2A, in solveInstr, dl *solver.Deadline) (BDMAResult, error) {
 	if err := s.ValidateRoomBudgets(); err != nil {
 		return BDMAResult{}, err
 	}
@@ -151,12 +144,12 @@ func (s *System) bdmaRoomsScratch(st *trace.State, v float64, qByRoom map[int]fl
 	}
 	solve := func(sel Selection, sdl *solver.Deadline) (Frequencies, error) {
 		qOf := func(n int) float64 { return qByRoom[s.Net.Servers[n].Room] }
-		return s.solveP2B(sel, st, v, qOf, in, pool, sdl)
+		return s.solveP2B(sel, st, v, qOf, in, sdl)
 	}
 	objective := func(sel Selection, freq Frequencies) float64 {
-		return s.p2ObjectiveRooms(sel, freq, st, v, qByRoom, pool)
+		return s.P2ObjectiveRooms(sel, freq, st, v, qByRoom)
 	}
-	res, err := s.bdmaLoop(st, cfg, src, solve, objective, scratch, in, pool, dl)
+	res, err := s.bdmaLoop(st, cfg, src, solve, objective, scratch, in, dl)
 	if err != nil {
 		return BDMAResult{}, err
 	}

@@ -42,8 +42,9 @@ type P2A struct {
 
 	// instr holds the engine's observability hooks, applied when the lazy
 	// engine is created (and immediately if it already exists); pool is
-	// the intra-slot worker pool forwarded to the engine the same way, and
-	// dl the slot deadline the engine polls at iteration boundaries.
+	// the worker pool forwarded to the engine the same way (the sharded
+	// solve's interior sweeps run on it), and dl the slot deadline the
+	// engine polls at iteration boundaries.
 	instr game.Instruments
 	pool  *par.Pool
 	dl    *solver.Deadline
@@ -550,10 +551,10 @@ func (p *P2A) SetInstruments(in game.Instruments) {
 	}
 }
 
-// SetPool attaches a worker pool to the P2A's solve engine for sharded
-// best-response scoring (now if the engine exists, otherwise when it is
-// lazily created). Nil detaches it. Solver results are bit-identical
-// with or without a pool.
+// SetPool attaches a worker pool to the P2A's solve engine (now if the
+// engine exists, otherwise when it is lazily created); only the sharded
+// solve's interior sweeps (Engine.CGBASharded) run on it. Nil detaches
+// it. Solver results are bit-identical with or without a pool.
 func (p *P2A) SetPool(pool *par.Pool) {
 	p.pool = pool
 	if p.engine != nil {

@@ -12,7 +12,6 @@ import (
 	"eotora/internal/rng"
 	"eotora/internal/topology"
 	"eotora/internal/trace"
-	"eotora/internal/units"
 )
 
 // corePoolSizes is the pool-size matrix the equivalence tests run:
@@ -91,8 +90,6 @@ func comparableSnapshot(reg *obs.Registry) obs.Snapshot {
 // controller level: a pooled controller's selections, frequencies,
 // objectives, queue trajectory, solver iteration counts, and non-timing
 // observability series are bit-identical to serial at every pool size.
-// The topology is large enough (70 devices) to cross both parallel
-// gates (parRefreshMinPlayers, lemma1MinDevices).
 func TestControllerPoolMatrix(t *testing.T) {
 	const devices, seed, slots = 70, 21, 6
 	build := func() (*Controller, []*trace.State) {
@@ -156,112 +153,27 @@ func TestControllerRoomsPoolMatrix(t *testing.T) {
 	}
 }
 
-// TestSolveP2BPoolMatrix checks the per-server fan-out in isolation,
-// including the solver-work instruments.
-func TestSolveP2BPoolMatrix(t *testing.T) {
-	sys, gen := buildSystem(t, 80, 17)
-	st := gen.Next()
-	sel := feasibleSelection(t, sys, st, 3)
-
-	serialReg := obs.New()
-	serialIn := solveInstr{
-		p2bSolves: serialReg.Counter(MetricP2BSolves),
-		p2bIters:  serialReg.Histogram(MetricP2BIterations),
-	}
-	want, err := sys.solveP2B(sel, st, 120, func(int) float64 { return 7 }, serialIn, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, size := range corePoolSizes()[1:] {
-		pool := par.New(size)
-		reg := obs.New()
-		in := solveInstr{
-			p2bSolves: reg.Counter(MetricP2BSolves),
-			p2bIters:  reg.Histogram(MetricP2BIterations),
-		}
-		got, err := sys.solveP2B(sel, st, 120, func(int) float64 { return 7 }, in, pool, nil)
-		pool.Close()
-		if err != nil {
-			t.Fatalf("pool %d: %v", size, err)
-		}
-		for n := range want {
-			if math.Float64bits(float64(got[n])) != math.Float64bits(float64(want[n])) {
-				t.Errorf("pool %d: server %d frequency %v, want %v", size, n, got[n], want[n])
-			}
-		}
-		if !reflect.DeepEqual(reg.Snapshot(), serialReg.Snapshot()) {
-			t.Errorf("pool %d: P2-B instruments diverged", size)
-		}
-	}
-}
-
-// TestLemma1PoolMatrix checks the sharded accumulators behind
-// ReducedLatency and OptimalAllocation in isolation.
-func TestLemma1PoolMatrix(t *testing.T) {
-	sys, gen := buildSystem(t, 90, 29)
-	st := gen.Next()
-	sel := feasibleSelection(t, sys, st, 11)
-	freq := sys.HighestFrequencies()
-
-	wantLat := sys.ReducedLatency(sel, freq, st)
-	wantAlloc := sys.OptimalAllocation(sel, st)
-	for _, size := range corePoolSizes()[1:] {
-		pool := par.New(size)
-		gotLat := sys.reducedLatency(sel, freq, st, pool)
-		gotAlloc := sys.optimalAllocation(sel, st, pool)
-		pool.Close()
-		if math.Float64bits(gotLat.Value()) != math.Float64bits(wantLat.Value()) {
-			t.Errorf("pool %d: reduced latency bits %#x, want %#x",
-				size, math.Float64bits(gotLat.Value()), math.Float64bits(wantLat.Value()))
-		}
-		if !reflect.DeepEqual(gotAlloc, wantAlloc) {
-			t.Errorf("pool %d: allocation diverged", size)
-		}
-	}
-}
-
-// TestSolveP2BPoolError checks that the parallel path reports the same
-// error as serial: the lowest failing server wins, regardless of which
-// shard hit its failure first.
-func TestSolveP2BPoolError(t *testing.T) {
-	sys, gen := buildSystem(t, 80, 41)
-	st := gen.Next()
-	sel := feasibleSelection(t, sys, st, 3)
-	// Corrupt every server's frequency range so each per-server solve
-	// fails; serial reports server 0.
-	for n := range sys.Net.Servers {
-		sys.Net.Servers[n].MinFreq = 4 * units.GHz
-		sys.Net.Servers[n].MaxFreq = 1 * units.GHz
-	}
-	_, serialErr := sys.solveP2B(sel, st, 100, func(int) float64 { return 1 }, solveInstr{}, nil, nil)
-	if serialErr == nil {
-		t.Fatal("expected serial error")
-	}
-	for _, size := range corePoolSizes()[1:] {
-		pool := par.New(size)
-		_, err := sys.solveP2B(sel, st, 100, func(int) float64 { return 1 }, solveInstr{}, pool, nil)
-		pool.Close()
-		if err == nil || err.Error() != serialErr.Error() {
-			t.Errorf("pool %d: error %v, want %v", size, err, serialErr)
-		}
-	}
-}
-
 // TestControllerPoolSteadyStateAllocs guards the "zero additional
-// steady-state allocations per slot" acceptance bar: after warmup, a
-// pooled controller step must not allocate more than the serial step.
+// steady-state allocations per slot" acceptance bar on the pool's one
+// region, the sharded solve's interior sweeps: after warmup, a pooled
+// sharded controller step must not allocate more than the serial step.
 func TestControllerPoolSteadyStateAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc measurement in -short mode")
 	}
 	measure := func(pool *par.Pool) float64 {
-		sys, gen := buildSystem(t, 70, 21)
-		ctrl, err := NewBDMAController(sys, 110, 3, 0, 9)
+		sys, gen := buildMetroSystem(t, 64, 33)
+		ctrl, err := NewBDMAController(sys, 110, 3, 0.05, 9)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if err := ctrl.SetShards(ShardsAuto); err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.New()
 		if pool != nil {
 			ctrl.SetPool(pool)
+			pool.Instrument(reg)
 		}
 		states := trace.Record(gen, 8)
 		i := 0
@@ -274,7 +186,11 @@ func TestControllerPoolSteadyStateAllocs(t *testing.T) {
 		for w := 0; w < 4; w++ { // warm caches, scratch pools, worker stacks
 			step()
 		}
-		return testing.AllocsPerRun(20, step)
+		allocs := testing.AllocsPerRun(20, step)
+		if pool != nil && reg.Snapshot().Counters[par.MetricRegions] == 0 {
+			t.Fatal("pooled sharded controller never entered a pool region")
+		}
+		return allocs
 	}
 	serial := measure(nil)
 	pool := par.New(runtime.NumCPU() + 1)
@@ -287,10 +203,10 @@ func TestControllerPoolSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// FuzzParallelEquivalence drives random topologies, traces, and pool
-// sizes through the controller and requires the pooled run to be
-// bit-identical to serial. Device counts straddle the parallel gates so
-// both the gated-off and sharded paths are exercised.
+// FuzzParallelEquivalence drives random metro topologies, traces, and
+// pool sizes through a sharded controller — the pool's one region is the
+// sharded solve's interior sweeps — and requires the pooled run to be
+// bit-identical to serial.
 func FuzzParallelEquivalence(f *testing.F) {
 	f.Add(int64(1), int64(2), uint8(2), uint8(40))
 	f.Add(int64(3), int64(4), uint8(5), uint8(70))
@@ -299,7 +215,7 @@ func FuzzParallelEquivalence(f *testing.F) {
 		devices := 6 + int(deviceByte)%90
 		size := 2 + int(poolSize)%6
 		src := rng.New(topoSeed)
-		net, err := topology.Generate(smallSpec(devices), src.Derive("net"))
+		net, err := topology.Generate(topology.MetroSpec(devices), src.Derive("net"))
 		if err != nil {
 			t.Skip() // infeasible random topology
 		}
@@ -320,6 +236,9 @@ func FuzzParallelEquivalence(f *testing.F) {
 		run := func(pool *par.Pool) []slotTrace {
 			ctrl, err := NewBDMAController(sys, 100, 2, 0.05, 7)
 			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ctrl.SetShards(ShardsAuto); err != nil {
 				t.Fatal(err)
 			}
 			ctrl.SetPool(pool)

@@ -4,7 +4,6 @@ import (
 	"math"
 	"sync"
 
-	"eotora/internal/par"
 	"eotora/internal/trace"
 )
 
@@ -19,10 +18,6 @@ type slotSums struct {
 	access    []float64
 	fronthaul []float64
 	compute   []float64
-
-	// task is the embedded parallel-accumulate region (see lemma1Task);
-	// living inside the pooled struct keeps parallel slots alloc-free.
-	task lemma1Task
 }
 
 var sumsPool = sync.Pool{New: func() any { return new(slotSums) }}
@@ -51,66 +46,12 @@ func resizeZeroFloat(s []float64, n int) []float64 {
 	return s
 }
 
-// lemma1MinDevices gates the parallel accumulators: below this many
-// devices the per-device sqrt work doesn't cover a region's wake/join
-// cost. A pure perf threshold — results never depend on it.
-const lemma1MinDevices = 64
-
-// lemma1Task is the sharded Lemma-1 accumulation. Shards split the
-// RESOURCE space, not the devices: shard s owns the stations and servers
-// in its par.Span, scans all devices, and accumulates only the sums of
-// its own resources. Each per-resource sum therefore adds its device
-// terms in ascending device order — exactly the serial loop's order —
-// so every sum is bit-identical to serial (float addition is not
-// associative; device-sharded accumulation would reorder it). Writes
-// are disjoint per shard: no shard touches another's resources.
-type lemma1Task struct {
-	sums        *slotSums
-	sys         *System
-	sel         Selection
-	st          *trace.State
-	shards      int
-	computeOnly bool // solveP2B needs only the compute sums
-}
-
-func (t *lemma1Task) Run(shard int) {
-	sc, s, st, sel := t.sums, t.sys, t.st, t.sel
-	nLo, nHi := par.Span(len(sc.compute), t.shards, shard)
-	if t.computeOnly {
-		for i := range sel.Server {
-			n := sel.Server[i]
-			if n >= nLo && n < nHi {
-				sc.compute[n] += math.Sqrt(st.TaskSizes[i].Count() / s.Net.Suitability[i][n])
-			}
-		}
-		return
-	}
-	kLo, kHi := par.Span(len(sc.access), t.shards, shard)
-	for i := range sel.Station {
-		k, n := sel.Station[i], sel.Server[i]
-		if k >= kLo && k < kHi {
-			sc.access[k] += math.Sqrt(st.DataLengths[i].Bits() / st.Channels[i][k].BpsPerHz())
-			sc.fronthaul[k] += math.Sqrt(st.DataLengths[i].Bits() / st.FronthaulSE[k].BpsPerHz())
-		}
-		if n >= nLo && n < nHi {
-			sc.compute[n] += math.Sqrt(st.TaskSizes[i].Count() / s.Net.Suitability[i][n])
-		}
-	}
-}
-
-// accumulate fills all three Lemma-1 denominator sets for (sel, st),
-// sharding across the pool for large instances. Serial (nil/size-1
-// pool, or few devices) runs the exact historical one-pass loop.
-func (sc *slotSums) accumulate(s *System, sel Selection, st *trace.State, pool *par.Pool) {
-	if pool.Size() > 1 && len(sel.Station) >= lemma1MinDevices {
-		sc.runLemma1(s, sel, st, pool, false)
-		return
-	}
+// accumulate fills all three Lemma-1 denominator sets for (sel, st).
+func (sc *slotSums) accumulate(s *System, sel Selection, st *trace.State) {
 	for i := range sel.Station {
 		k, n := sel.Station[i], sel.Server[i]
 		if k < 0 || n < 0 {
-			// Inactive device: no resource demand. The sharded path skips
-			// these too, because -1 falls outside every shard span.
+			// Inactive device: no resource demand.
 			continue
 		}
 		sc.access[k] += math.Sqrt(st.DataLengths[i].Bits() / st.Channels[i][k].BpsPerHz())
@@ -120,11 +61,7 @@ func (sc *slotSums) accumulate(s *System, sel Selection, st *trace.State, pool *
 }
 
 // accumulateCompute fills only the per-server compute sums (P2-B's A_n).
-func (sc *slotSums) accumulateCompute(s *System, sel Selection, st *trace.State, pool *par.Pool) {
-	if pool.Size() > 1 && len(sel.Server) >= lemma1MinDevices && len(sc.compute) > 1 {
-		sc.runLemma1(s, sel, st, pool, true)
-		return
-	}
+func (sc *slotSums) accumulateCompute(s *System, sel Selection, st *trace.State) {
 	for i := range sel.Server {
 		n := sel.Server[i]
 		if n < 0 {
@@ -132,14 +69,4 @@ func (sc *slotSums) accumulateCompute(s *System, sel Selection, st *trace.State,
 		}
 		sc.compute[n] += math.Sqrt(st.TaskSizes[i].Count() / s.Net.Suitability[i][n])
 	}
-}
-
-func (sc *slotSums) runLemma1(s *System, sel Selection, st *trace.State, pool *par.Pool, computeOnly bool) {
-	shards := pool.Size()
-	if lim := len(sc.compute) + len(sc.access); shards > lim {
-		shards = lim
-	}
-	sc.task = lemma1Task{sums: sc, sys: s, sel: sel, st: st, shards: shards, computeOnly: computeOnly}
-	pool.Run(shards, &sc.task)
-	sc.task = lemma1Task{} // drop the state/selection refs before re-pooling
 }

@@ -28,7 +28,7 @@ import (
 
 // Engine is reusable mutable solve state bound to one Game. It is not safe
 // for concurrent use; create one Engine per goroutine. (An attached
-// par.Pool does not change that contract: the engine drives the pool's
+// par.Pool does not change that contract: CGBASharded drives the pool's
 // workers from inside a single Engine call, never the other way around.)
 type Engine struct {
 	g       *Game
@@ -56,13 +56,6 @@ type Engine struct {
 	instr Instruments
 	tally engineTallies
 
-	// Parallel refresh (see engine_par.go): pool shards the per-iteration
-	// best-response rescan; refreshT is the persistent region task and
-	// shardTallies the per-shard hit/miss counts merged in shard order.
-	pool         *par.Pool
-	refreshT     refreshTask
-	shardTallies []engineTallies
-
 	// deadline, when non-nil, is polled at iteration boundaries: an
 	// expired deadline truncates the solve, returning the current
 	// (feasible) iterate with Result.Truncated set. Nil never expires,
@@ -73,8 +66,10 @@ type Engine struct {
 	// tables keyed on the game's weight generation.
 	fast fastState
 
-	// Sharded solve (see engine_shard.go): per-shard private solve state
-	// and the persistent parallel-region task.
+	// Sharded solve (see engine_shard.go): the worker pool the interior
+	// sweeps run on, per-shard private solve state, and the persistent
+	// parallel-region task.
+	pool     *par.Pool
 	shardSlv []shardSolve
 	shardT   shardSweepTask
 
@@ -305,15 +300,6 @@ const relEps = 1e-12
 // tolerance, returning its best response when so.
 func (e *Engine) dissatisfied(i int, lambda float64) (strategy int, improve float64, ok bool) {
 	e.refresh(i)
-	return e.dissatisfiedCached(i, lambda)
-}
-
-// dissatisfiedCached is dissatisfied for a player whose cache is known
-// fresh: no refresh, no tally. The parallel scan uses it as phase 2,
-// after refreshAllParallel has refreshed (and tallied) every player —
-// calling dissatisfied there would tally a spurious extra cache hit per
-// player per iteration relative to serial.
-func (e *Engine) dissatisfiedCached(i int, lambda float64) (strategy int, improve float64, ok bool) {
 	cur, c := e.curCost[i], e.brCost[i]
 	// Algorithm 3 line 2: (1−λ)·T_i > min T_i.
 	if (1-lambda)*cur <= c+relEps*(cur+1) {
@@ -340,7 +326,7 @@ func (e *Engine) CGBA(cfg CGBAConfig, src *rng.Source) (Result, error) {
 	// width actually prunes someone and the paper's max-improvement rule
 	// is selected, the pruned sweep path runs instead. A width covering
 	// every player's strategy set falls through to the exact path below —
-	// bit-identical to the seed, pools and all.
+	// bit-identical to the seed.
 	if k := effectiveShortlist(cfg.Shortlist); k > 0 && cfg.Pivot == PivotMaxImprovement && k < g.maxStrategyCount() {
 		return e.cgbaPruned(cfg, src, k)
 	}
@@ -363,23 +349,14 @@ func (e *Engine) CGBA(cfg CGBAConfig, src *rng.Source) (Result, error) {
 		objTrace = append(objTrace, g.SocialCost(e.profile))
 	}
 
-	// The full-scan pivots (max-improvement, random) refresh every
-	// player each iteration; with a pool attached and enough players the
-	// refreshes run in parallel shards, then the pivot scan reads the
-	// caches serially in index order (see engine_par.go). Round-robin
-	// stops its scan at the first dissatisfied player, so a full parallel
-	// refresh would do work — and tally cache traffic — serial wouldn't;
-	// it stays serial.
-	usePar := cfg.Pivot != PivotRoundRobin && e.pool.Size() > 1 && n >= parRefreshMinPlayers
-
 	iterations := 0
 	rrCursor := 0
 	for ; iterations < maxIter; iterations++ {
 		// Deadline checkpoint: one poll per iteration, before any refresh
 		// work. The checkpoint count is a function of the iteration count
-		// alone — identical at every pool size — so counted budgets
-		// degrade deterministically. The current iterate is always a
-		// feasible profile, so truncation can return it directly.
+		// alone, so counted budgets degrade deterministically. The
+		// current iterate is always a feasible profile, so truncation
+		// can return it directly.
 		if e.deadline.Expired() {
 			e.recordCGBA(iterations)
 			return Result{
@@ -391,9 +368,6 @@ func (e *Engine) CGBA(cfg CGBAConfig, src *rng.Source) (Result, error) {
 			}, nil
 		}
 		mover, strategy := -1, -1
-		if usePar {
-			e.refreshAllParallel()
-		}
 		switch cfg.Pivot {
 		case PivotRoundRobin:
 			for scanned := 0; scanned < n; scanned++ {
@@ -408,14 +382,7 @@ func (e *Engine) CGBA(cfg CGBAConfig, src *rng.Source) (Result, error) {
 			e.candidates = e.candidates[:0]
 			e.candStrats = e.candStrats[:0]
 			for i := 0; i < n; i++ {
-				var s int
-				var ok bool
-				if usePar {
-					s, _, ok = e.dissatisfiedCached(i, cfg.Lambda)
-				} else {
-					s, _, ok = e.dissatisfied(i, cfg.Lambda)
-				}
-				if ok {
+				if s, _, ok := e.dissatisfied(i, cfg.Lambda); ok {
 					e.candidates = append(e.candidates, i)
 					e.candStrats = append(e.candStrats, s)
 				}
@@ -427,15 +394,7 @@ func (e *Engine) CGBA(cfg CGBAConfig, src *rng.Source) (Result, error) {
 		default: // PivotMaxImprovement — Algorithm 3 line 3
 			bestImprove := 0.0
 			for i := 0; i < n; i++ {
-				var s int
-				var improve float64
-				var ok bool
-				if usePar {
-					s, improve, ok = e.dissatisfiedCached(i, cfg.Lambda)
-				} else {
-					s, improve, ok = e.dissatisfied(i, cfg.Lambda)
-				}
-				if ok && improve > bestImprove {
+				if s, improve, ok := e.dissatisfied(i, cfg.Lambda); ok && improve > bestImprove {
 					bestImprove = improve
 					mover, strategy = i, s
 				}

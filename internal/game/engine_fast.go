@@ -41,10 +41,9 @@
 // Equivalence contract: when the effective shortlist width covers every
 // player's strategy set (small games, or Shortlist ≥ max strategies, or
 // ShortlistFull), Engine.CGBA routes to the unmodified exact path and
-// results stay bit-identical to the seed at every pool size. The pruned
-// path is serial by construction — identical results at every pool size
-// for free — and deterministic: same game bits, config, and RNG state
-// give the same profile. engine_fast_test.go and
+// results stay bit-identical to the seed. Both paths are serial (only
+// CGBASharded runs on a pool), and the pruned path is deterministic: same
+// game bits, config, and RNG state give the same profile. engine_fast_test.go and
 // FuzzIncrementalBestResponseEquivalence enforce all of this.
 package game
 
@@ -344,8 +343,7 @@ func (e *Engine) greedyFill() {
 // cgbaPruned is the shortlist fast path of Engine.CGBA: Gauss–Seidel
 // sweeps over pruned best responses, terminated only by a quiet
 // full-width certification sweep. λ has been validated and k < the
-// game's max strategy count when this runs. Serial by construction —
-// results are identical at every pool size.
+// game's max strategy count when this runs. Serial by construction.
 func (e *Engine) cgbaPruned(cfg CGBAConfig, src *rng.Source, k int) (Result, error) {
 	g := e.g
 	n := g.Players()

@@ -6,21 +6,13 @@ import (
 	"reflect"
 	"testing"
 
-	"eotora/internal/par"
 	"eotora/internal/rng"
 )
 
-// runCGBAPooled solves g with a fresh engine and an attached pool of the
-// given size (0 = no pool).
-func runCGBAPooled(t testing.TB, g *Game, cfg CGBAConfig, seed int64, size int) Result {
+// runCGBA solves g with a fresh engine.
+func runCGBA(t testing.TB, g *Game, cfg CGBAConfig, seed int64) Result {
 	t.Helper()
-	e := NewEngine(g)
-	if size > 0 {
-		pool := par.New(size)
-		defer pool.Close()
-		e.SetPool(pool)
-	}
-	res, err := e.CGBA(cfg, rng.New(seed))
+	res, err := NewEngine(g).CGBA(cfg, rng.New(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,8 +37,7 @@ func requireSameResult(t *testing.T, label string, got, want Result) {
 // equivalence contract: whenever the effective shortlist width covers
 // every player's strategy set — small games under the default width, an
 // explicit width ≥ the max strategy count, or ShortlistFull — CGBA must
-// take the exact path and return bit-identical results at every pool
-// size (the ISSUE's 0/1/4 matrix).
+// take the exact path and return bit-identical results.
 func TestCGBAShortlistFullWidthBitIdentical(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -70,20 +61,16 @@ func TestCGBAShortlistFullWidthBitIdentical(t *testing.T) {
 			}
 			exactCfg := tc.cfg
 			exactCfg.Shortlist = ShortlistFull
-			want := runCGBAPooled(t, build(), exactCfg, 502, 0)
-			for _, size := range []int{0, 1, 4} {
-				got := runCGBAPooled(t, build(), tc.cfg, 502, size)
-				requireSameResult(t, fmt.Sprintf("pool %d", size), got, want)
-			}
+			want := runCGBA(t, build(), exactCfg, 502)
+			requireSameResult(t, tc.name, runCGBA(t, build(), tc.cfg, 502), want)
 		})
 	}
 }
 
 // TestCGBAPrunedCertifiedEquilibrium is the second half of the contract:
 // with k below the strategy count the pruned sweep path runs, and its
-// result must be a certified λ-equilibrium of the unpruned game,
-// deterministic, and identical at every pool size (the path is serial by
-// construction).
+// result must be a certified λ-equilibrium of the unpruned game and
+// deterministic.
 func TestCGBAPrunedCertifiedEquilibrium(t *testing.T) {
 	for _, lambda := range []float64{0, 0.05, 0.1} {
 		for _, k := range []int{1, 3, 8} {
@@ -93,16 +80,12 @@ func TestCGBAPrunedCertifiedEquilibrium(t *testing.T) {
 				}
 				cfg := CGBAConfig{Lambda: lambda, Shortlist: k}
 				g := build()
-				want := runCGBAPooled(t, g, cfg, 602, 0)
+				want := runCGBA(t, g, cfg, 602)
 				if !g.IsEquilibrium(want.Profile, lambda) {
 					t.Fatalf("pruned k=%d result is not a λ=%v equilibrium of the unpruned game", k, lambda)
 				}
-				// Pool invariance and determinism: fresh engines, every
-				// pool size, bit-identical.
-				for _, size := range []int{0, 1, 4} {
-					got := runCGBAPooled(t, build(), cfg, 602, size)
-					requireSameResult(t, fmt.Sprintf("pool %d", size), got, want)
-				}
+				// Determinism: a fresh engine is bit-identical.
+				requireSameResult(t, "fresh", runCGBA(t, build(), cfg, 602), want)
 				// Engine reuse (the BDMA-round pattern) must match fresh.
 				e := NewEngine(build())
 				for rep := 0; rep < 3; rep++ {

@@ -38,6 +38,7 @@ import (
 	"math"
 	"time"
 
+	"eotora/internal/par"
 	"eotora/internal/rng"
 )
 
@@ -334,6 +335,15 @@ func (e *Engine) shardMove(i, s int, ss *shardSolve) {
 	}
 	ss.drift += drift
 }
+
+// SetPool attaches the worker pool CGBASharded runs its per-shard
+// interior sweeps on (nil detaches it — the default, fully serial). It is
+// the engine's only parallel region: CGBA and the pruned path never touch
+// the pool. The pool only changes where shards execute, never their
+// results: solves are bit-identical for every pool size. The engine must
+// not share a pool region with another engine concurrently (one Run at a
+// time per pool).
+func (e *Engine) SetPool(p *par.Pool) { e.pool = p }
 
 // CGBASharded runs CGBA factorized by the plan: parallel per-shard
 // interior solves, serial boundary reconciliation, and a serial global

@@ -194,7 +194,7 @@ func TestCGBAShardedSingleShardBitIdentical(t *testing.T) {
 	g, assign := clusteredGame(t, rng.New(721), 3, 10, 4, 8, 6)
 	for _, shortlist := range []int{0, ShortlistFull} {
 		cfg := CGBAConfig{Lambda: 0.01, Shortlist: shortlist}
-		want := runCGBAPooled(t, g, cfg, 7, 0)
+		want := runCGBA(t, g, cfg, 7)
 		one := make([]int32, len(assign))
 		plan, err := NewShardPlan(1, one)
 		if err != nil {
@@ -300,7 +300,7 @@ func FuzzShardedEquivalence(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := runCGBAPooled(t, g, cfg, solveSeed, 0)
+		want := runCGBA(t, g, cfg, solveSeed)
 		requireSameResult(t, "shards=1", runCGBASharded(t, g, cfg, planOne, solveSeed, 0), want)
 	})
 }

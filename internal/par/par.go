@@ -1,19 +1,18 @@
 // Package par provides a fixed-size, reusable worker pool for
-// deterministic intra-slot parallelism. The per-slot solve of the online
-// controller fans three embarrassingly parallel loops — the per-server
-// P2-B minimizations, the CGBA best-response rescans, and the Lemma-1
-// accumulators — across a Pool whose workers persist for the life of the
-// run: no goroutine is spawned per slot, per round, or per region.
+// deterministic intra-slot parallelism. Its one user is the sharded slot
+// solve (game.Engine.CGBASharded): each round's per-shard interior sweeps
+// fan across a Pool whose workers persist for the life of the run — no
+// goroutine is spawned per slot, per round, or per region.
 //
 // Determinism is the contract, not a best effort. A Pool never changes
 // *what* is computed, only *where*: a parallel region is a set of shards
-// whose work items write disjoint, preallocated output slots, and every
-// reduction over those slots happens on the caller in fixed shard order
-// after Run returns. Combined with Span's fixed shard boundaries and the
-// rule that no RNG is drawn inside a region, results are bit-identical
-// for every pool size — including nil (no pool at all), which the hot
-// paths treat as "run the exact serial code". DESIGN.md §9 carries the
-// full argument; the pool-matrix tests in game and core enforce it.
+// whose work items write disjoint, preallocated state, and every
+// reduction over that state happens on the caller in fixed shard order
+// after Run returns. Combined with the rule that no RNG is drawn inside a
+// region, results are bit-identical for every pool size — including nil
+// (no pool at all), which runs the shards serially on the caller.
+// DESIGN.md §9 carries the full argument; the sharded pool-matrix tests
+// in game and core enforce it.
 package par
 
 import (
@@ -38,8 +37,7 @@ const (
 )
 
 // Task is one parallel region's work, split into shards. Run(shard) must
-// touch only state owned by that shard (typically a Span of a shared
-// output slice); shards of one region run concurrently on the pool's
+// touch only state owned by that shard; shards of one region run concurrently on the pool's
 // workers and on the caller.
 //
 // Task is an interface rather than a func value so hot paths can hand
@@ -89,15 +87,6 @@ func New(size int) *Pool {
 		}
 	}
 	return p
-}
-
-// Size returns the pool's worker count (including the caller). A nil
-// pool has size 1: the caller alone.
-func (p *Pool) Size() int {
-	if p == nil {
-		return 1
-	}
-	return p.size
 }
 
 // Run executes t.Run(s) for every shard s in [0, shards), distributing
@@ -168,15 +157,6 @@ func (p *Pool) Close() {
 	close(p.wake)
 	p.size = 1
 	p.wake = nil
-}
-
-// Span returns the half-open range [lo, hi) of items shard s of shards
-// owns out of n items: fixed boundaries, contiguous, in order, differing
-// by at most one in length. Every caller that shards the same n the same
-// way gets the same decomposition — part of the determinism contract
-// (reductions walk shards 0..shards−1, which is items 0..n−1 in order).
-func Span(n, shards, s int) (lo, hi int) {
-	return s * n / shards, (s + 1) * n / shards
 }
 
 // Instruments are the pool's observability hooks; all fields are

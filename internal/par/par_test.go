@@ -9,6 +9,19 @@ import (
 	"eotora/internal/obs"
 )
 
+// span returns the contiguous half-open range [lo, hi) of n items that
+// shard s of shards owns.
+func span(n, shards, s int) (lo, hi int) {
+	return s * n / shards, (s + 1) * n / shards
+}
+
+// workers reads a pool's size from the gauge Instrument publishes.
+func workers(p *Pool) float64 {
+	reg := obs.New()
+	p.Instrument(reg)
+	return reg.Snapshot().Gauges[MetricWorkers]
+}
+
 // fillTask writes shard indices into disjoint spans of out — the shape
 // every real region has: per-shard work, preallocated slots.
 type fillTask struct {
@@ -17,7 +30,7 @@ type fillTask struct {
 }
 
 func (t *fillTask) Run(shard int) {
-	lo, hi := Span(len(t.out), t.shards, shard)
+	lo, hi := span(len(t.out), t.shards, shard)
 	for i := lo; i < hi; i++ {
 		t.out[i] = shard
 	}
@@ -32,30 +45,6 @@ func poolSizes() []int {
 	return []int{1, 2, 3, runtime.NumCPU(), runtime.NumCPU() + 2}
 }
 
-func TestSpanPartition(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 7, 16, 100, 1023} {
-		for shards := 1; shards <= 9; shards++ {
-			prev := 0
-			for s := 0; s < shards; s++ {
-				lo, hi := Span(n, shards, s)
-				if lo != prev {
-					t.Fatalf("Span(%d, %d, %d): lo = %d, want %d (contiguous)", n, shards, s, lo, prev)
-				}
-				if hi < lo {
-					t.Fatalf("Span(%d, %d, %d): hi %d < lo %d", n, shards, s, hi, lo)
-				}
-				if d := hi - lo; d > n/shards+1 {
-					t.Fatalf("Span(%d, %d, %d): span length %d unbalanced", n, shards, s, d)
-				}
-				prev = hi
-			}
-			if prev != n {
-				t.Fatalf("Span(%d, %d, ·): covers %d items", n, shards, prev)
-			}
-		}
-	}
-}
-
 func TestRunCoversAllShards(t *testing.T) {
 	for _, size := range poolSizes() {
 		p := New(size)
@@ -66,8 +55,8 @@ func TestRunCoversAllShards(t *testing.T) {
 			}
 			p.Run(shards, task)
 			for i, got := range task.out {
-				lo, _ := Span(len(task.out), shards, got)
-				_, hi := Span(len(task.out), shards, got)
+				lo, _ := span(len(task.out), shards, got)
+				_, hi := span(len(task.out), shards, got)
 				if got < 0 || got >= shards || i < lo || i >= hi {
 					t.Fatalf("size %d shards %d: out[%d] = %d", size, shards, i, got)
 				}
@@ -79,9 +68,6 @@ func TestRunCoversAllShards(t *testing.T) {
 
 func TestRunNilPool(t *testing.T) {
 	var p *Pool
-	if got := p.Size(); got != 1 {
-		t.Fatalf("nil pool Size() = %d, want 1", got)
-	}
 	task := &countTask{}
 	p.Run(5, task)
 	if got := task.n.Load(); got != 5 {
@@ -118,8 +104,8 @@ func TestPoolReuse(t *testing.T) {
 func TestCloseDegradesToSerial(t *testing.T) {
 	p := New(4)
 	p.Close()
-	if got := p.Size(); got != 1 {
-		t.Fatalf("Size after Close = %d, want 1", got)
+	if got := workers(p); got != 1 {
+		t.Fatalf("workers after Close = %v, want 1", got)
 	}
 	task := &countTask{}
 	p.Run(6, task) // must run on the caller, no helpers left
@@ -132,8 +118,8 @@ func TestCloseDegradesToSerial(t *testing.T) {
 func TestNewDefaultsToGOMAXPROCS(t *testing.T) {
 	p := New(0)
 	defer p.Close()
-	if got, want := p.Size(), runtime.GOMAXPROCS(0); got != want {
-		t.Fatalf("New(0).Size() = %d, want %d", got, want)
+	if got, want := workers(p), float64(runtime.GOMAXPROCS(0)); got != want {
+		t.Fatalf("New(0) has %v workers, want %v", got, want)
 	}
 }
 
@@ -147,7 +133,7 @@ type sumTask struct {
 }
 
 func (t *sumTask) Run(shard int) {
-	lo, hi := Span(len(t.in), t.shards, shard)
+	lo, hi := span(len(t.in), t.shards, shard)
 	s := 0.0
 	for i := lo; i < hi; i++ {
 		s += t.in[i]

@@ -70,8 +70,10 @@ type JobResult struct {
 // guarantees hold per job — but independent sweep points (the V values of
 // Figure 8, the budgets of Figure 9) parallelize perfectly. Leftover
 // cores (GOMAXPROCS beyond the worker count) are handed to each worker as
-// an intra-slot pool (core.Controller.SetPool), so a 2-point sweep on an
-// 8-core box still uses all 8 cores without oversubscribing.
+// an intra-slot pool (core.Controller.SetPool). Only sharded jobs use it:
+// the pool's one region is the sharded solve's per-shard interior sweeps,
+// so an unsharded job runs serially on its worker and the leftover cores
+// stay idle. workers × pool size never exceeds GOMAXPROCS.
 func Sweep(jobs []Job, workers int) ([]JobResult, error) {
 	if len(jobs) == 0 {
 		return nil, errors.New("sim: empty sweep")
@@ -89,7 +91,7 @@ func Sweep(jobs []Job, workers int) ([]JobResult, error) {
 
 	// Split the machine between sweep-level and slot-level parallelism:
 	// workers × slotWorkers never exceeds GOMAXPROCS. The per-worker pools
-	// don't change any job's decisions — pooled slot solves are
+	// don't change any job's decisions — pooled sharded solves are
 	// bit-identical to serial (core.Controller.SetPool).
 	slotWorkers := runtime.GOMAXPROCS(0) / workers
 
