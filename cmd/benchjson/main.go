@@ -19,9 +19,11 @@
 //	benchjson -compare old.json,new.json -max-regress 0.15 -gate 'ControllerStep|CGBA'
 //
 // fails (exit 2) when any common benchmark matching -gate regressed more
-// than 15% in ns/op, or allocated more per op at all (allocs/op is
-// machine-independent, so its budget is zero). CI's bench-gate job runs
-// this against the newest committed BENCH_<rev>.json baseline.
+// than 15% in ns/op or in B/op, or allocated more per op at all (allocs/op
+// is machine-independent, so its budget is zero). B/op is gated because a
+// metro-scale slot makes only ~50 allocations whose sizes carry the cost.
+// CI's bench-gate job runs this against the newest committed
+// BENCH_<rev>.json baseline.
 //
 // Usage:
 //
@@ -84,7 +86,7 @@ func main() {
 	out := flag.String("out", "", "output file (default stdout)")
 	compare := flag.String("compare", "", "compare two archived reports: old.json,new.json (skips stdin conversion)")
 	threshold := flag.Float64("threshold", 1.25, "with -compare, exit non-zero when any common benchmark's new/old ns/op ratio exceeds this")
-	maxRegress := flag.Float64("max-regress", 0, "with -compare, gate hard: fail when a -gate benchmark regressed more than this fraction in ns/op (e.g. 0.15 = 15%) or added any allocs/op; 0 keeps the advisory -threshold mode")
+	maxRegress := flag.Float64("max-regress", 0, "with -compare, gate hard: fail when a -gate benchmark regressed more than this fraction in ns/op or B/op (e.g. 0.15 = 15%) or added any allocs/op; 0 keeps the advisory -threshold mode")
 	gate := flag.String("gate", "ControllerStep|CGBA", "with -max-regress, regexp selecting the gated benchmark names")
 	flag.Parse()
 
@@ -173,8 +175,10 @@ func parse(r io.Reader, rev string) (*Report, error) {
 // With maxRegress == 0 it is the advisory mode: any common benchmark
 // whose ns/op ratio exceeds threshold regresses the result. With
 // maxRegress > 0 it is the gating mode: only benchmarks matching gateRE
-// are budgeted — more than maxRegress fractional ns/op growth, or any
-// allocs/op growth (allocation counts are machine-independent), fails.
+// are budgeted — more than maxRegress fractional ns/op or B/op growth, or
+// any allocs/op growth (allocation counts are machine-independent),
+// fails. The allocation budgets apply only when both sides ran with
+// -benchmem.
 // Benchmarks present on only one side are listed but never regress the
 // result.
 func runCompare(w io.Writer, spec string, threshold, maxRegress float64, gateRE *regexp.Regexp) (regressed bool, err error) {
@@ -195,8 +199,8 @@ func runCompare(w io.Writer, spec string, threshold, maxRegress float64, gateRE 
 		oldBy[fmt.Sprintf("%s-%d", b.Name, b.Procs)] = b
 	}
 	if maxRegress > 0 {
-		fmt.Fprintf(w, "comparing %s (%s) -> %s (%s), gating %q at +%.0f%% ns/op, +0 allocs/op\n",
-			parts[0], oldRep.Rev, parts[1], newRep.Rev, gateRE, 100*maxRegress)
+		fmt.Fprintf(w, "comparing %s (%s) -> %s (%s), gating %q at +%.0f%% ns/op, +%.0f%% B/op, +0 allocs/op\n",
+			parts[0], oldRep.Rev, parts[1], newRep.Rev, gateRE, 100*maxRegress, 100*maxRegress)
 	} else {
 		fmt.Fprintf(w, "comparing %s (%s) -> %s (%s), threshold %.2fx\n",
 			parts[0], oldRep.Rev, parts[1], newRep.Rev, threshold)
@@ -221,6 +225,10 @@ func runCompare(w io.Writer, spec string, threshold, maxRegress float64, gateRE 
 			}
 			if ratio > 1+maxRegress {
 				mark = "  REGRESSED (ns/op)"
+				regressed = true
+			}
+			if prev.Benchmem && b.Benchmem && b.BytesPerOp > prev.BytesPerOp*(1+maxRegress) {
+				mark += fmt.Sprintf("  REGRESSED (B/op %.0f -> %.0f)", prev.BytesPerOp, b.BytesPerOp)
 				regressed = true
 			}
 			if prev.Benchmem && b.Benchmem && b.AllocsPerOp > prev.AllocsPerOp {

@@ -125,6 +125,52 @@ func TestCompareMaxRegress(t *testing.T) {
 	}
 }
 
+// TestCompareMaxRegressBytes covers the B/op budget of the gating mode:
+// it is the same fraction as the ns/op budget, applies only to gated
+// benchmarks, and only when both sides ran with -benchmem.
+func TestCompareMaxRegressBytes(t *testing.T) {
+	base := Report{Rev: "old", Benchmarks: []Benchmark{
+		{Name: "BenchmarkControllerStepSharded/devices=100000/shards=auto", Procs: 2, NsPerOp: 1e9, BytesPerOp: 100e6, AllocsPerOp: 50, Benchmem: true},
+		{Name: "BenchmarkSolveP2B", Procs: 2, NsPerOp: 100, BytesPerOp: 1000, AllocsPerOp: 3, Benchmem: true},
+	}}
+	gate := regexp.MustCompile("ControllerStep|CGBA")
+	dir := t.TempDir()
+	oldPath := writeReport(t, dir, "old.json", base)
+
+	cases := []struct {
+		name      string
+		bench     int
+		mutate    func(*Benchmark)
+		regressed bool
+	}{
+		{"B/op within budget", 0, func(b *Benchmark) { b.BytesPerOp *= 1.10 }, false},
+		{"B/op over budget", 0, func(b *Benchmark) { b.BytesPerOp *= 1.20 }, true},
+		{"B/op improvement", 0, func(b *Benchmark) { b.BytesPerOp *= 0.6 }, false},
+		{"ungated B/op growth", 1, func(b *Benchmark) { b.BytesPerOp *= 10 }, false},
+		{"new side without benchmem", 0, func(b *Benchmark) { b.BytesPerOp, b.AllocsPerOp, b.Benchmem = 0, 0, false }, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rep := base
+			rep.Rev = "new"
+			rep.Benchmarks = append([]Benchmark(nil), base.Benchmarks...)
+			tc.mutate(&rep.Benchmarks[tc.bench])
+			newPath := writeReport(t, dir, "new.json", rep)
+			var out strings.Builder
+			got, err := runCompare(&out, oldPath+","+newPath, 1.25, 0.15, gate)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != tc.regressed {
+				t.Errorf("regressed = %v, want %v\n%s", got, tc.regressed, out.String())
+			}
+			if tc.regressed && !strings.Contains(out.String(), "REGRESSED (B/op") {
+				t.Errorf("B/op regression not named in the report:\n%s", out.String())
+			}
+		})
+	}
+}
+
 func TestParseBenchLineMalformed(t *testing.T) {
 	for _, line := range []string{
 		"BenchmarkX-8",                     // too few fields

@@ -92,8 +92,14 @@ func (s *System) bdmaScratch(st *trace.State, v, q float64, cfg BDMAConfig, src 
 // variants share one implementation. scratch, when non-nil, supplies a
 // reusable P2A; round 0 rebuilds it for the slot state and later rounds
 // only reweight the N compute resources (the sole Ω-dependent part of the
-// game), skipping the structural rebuild entirely. in records the
-// alternation's round statistics (zero value records nothing).
+// game), skipping the structural rebuild entirely. Each round's selection
+// is written into one of the P2A's two round buffers and the buffers swap
+// when the round improves, so only the winning selection is copied out;
+// a round's result profile goes back to the engine once the next round
+// has used it as its warm start.
+// The state is validated once, by round 0's ApplyChurn (or its BuildP2A
+// fallback), before the P2A is touched. in records the alternation's
+// round statistics (zero value records nothing).
 //
 // dl, when non-nil, is the slot deadline. Checkpoints sit at round
 // boundaries, inside the P2-A engine's iteration loop, and at P2-B entry.
@@ -113,9 +119,6 @@ func (s *System) bdmaLoop(
 	in solveInstr,
 	dl *solver.Deadline,
 ) (BDMAResult, error) {
-	if err := s.CheckState(st); err != nil {
-		return BDMAResult{}, err
-	}
 	iters := cfg.Iterations
 	if iters <= 0 {
 		iters = 1
@@ -131,6 +134,7 @@ func (s *System) bdmaLoop(
 
 	freq := s.LowestFrequencies()
 	best := BDMAResult{Objective: math.Inf(1)}
+	sel, bestSel := &scratch.roundSel[0], &scratch.roundSel[1]
 	bestRound := 0
 	rounds := 0
 	var warm game.Profile
@@ -168,9 +172,12 @@ func (s *System) bdmaLoop(
 		if err2 != nil {
 			return BDMAResult{}, fmt.Errorf("core: BDMA round %d (%s): %w", iter, p2aSolver.Name(), err2)
 		}
+		// Round r−1's profile was only the warm start of this round: hand
+		// its memory back for the engine's next result.
+		scratch.recycle(warm)
 		warm = res.Profile
 		best.SolverIterations += res.Iterations
-		sel := scratch.Selection(res.Profile)
+		scratch.selectionInto(sel, res.Profile)
 
 		// A truncated P2-A iterate is still a feasible profile; price it
 		// with a deadline-free P2-B grace pass (bounded: N golden-section
@@ -180,7 +187,7 @@ func (s *System) bdmaLoop(
 			best.Degraded = true
 			sdl = nil
 		}
-		freq, err = solveP2B(sel, sdl)
+		freq, err = solveP2B(*sel, sdl)
 		if err != nil {
 			if errors.Is(err, ErrSlotDeadline) {
 				best.Degraded = true
@@ -190,17 +197,20 @@ func (s *System) bdmaLoop(
 		}
 
 		rounds++
-		if obj := objective(sel, freq); obj < best.Objective {
+		if obj := objective(*sel, freq); obj < best.Objective {
 			best.Objective = obj
-			best.Selection = sel.Clone()
-			best.Freq = freq.Clone()
+			sel, bestSel = bestSel, sel
+			// solveP2B returns a fresh vector every round, so the round's
+			// freq is already owned by the result.
+			best.Freq = freq
 			bestRound = iter + 1
 		}
 		if res.Truncated {
 			break
 		}
 	}
-	if best.Selection.Station == nil {
+	scratch.recycle(warm)
+	if bestRound == 0 {
 		if best.Degraded {
 			return BDMAResult{}, fmt.Errorf("core: BDMA: %w", ErrSlotDeadline)
 		}
@@ -208,6 +218,9 @@ func (s *System) bdmaLoop(
 	}
 	in.bdmaRounds.Add(int64(rounds))
 	in.bdmaBestRound.Observe(float64(bestRound))
+	// The round buffers belong to the P2A and are rewritten next slot;
+	// the result gets its own copy.
+	best.Selection = bestSel.Clone()
 	best.Latency = s.ReducedLatency(best.Selection, best.Freq, st).Value()
 	return best, nil
 }

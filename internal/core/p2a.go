@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"eotora/internal/game"
 	"eotora/internal/par"
@@ -72,12 +73,23 @@ type P2A struct {
 	// normalized (never nil) through the State accessors.
 	prevTasks     []units.Cycles
 	prevData      []units.DataSize
-	prevChannels  []units.SpectralEfficiency // [device*stations + station]
 	prevFronthaul []units.SpectralEfficiency
 	prevDown      []bool
 	prevDevActive []bool
 	prevSrvActive []bool
 	haveSnap      bool
+
+	// The previous slot's covered channel entries as a per-device CSR:
+	// device i's (station, h > 0) entries, stations ascending, are
+	// prevChan[prevChanOff[i]:prevChanOff[i+1]]. A device covers a handful
+	// of stations, so this is far smaller than the devices × stations
+	// matrix it stands for.
+	prevChanOff []int32
+	prevChan    []chanEntry
+
+	// roundSel holds the two selections BDMA's round loop alternates
+	// between (see bdmaLoop): the current round's and the best so far.
+	roundSel [2]Selection
 
 	// ApplyChurn scratch (reused across slots).
 	serverChanged   []bool
@@ -93,6 +105,13 @@ type P2A struct {
 	planAssign []int32
 	planTarget int
 	planValid  bool
+}
+
+// chanEntry is one covered channel of the P2A snapshot: station k and its
+// spectral efficiency h > 0.
+type chanEntry struct {
+	station int32
+	h       units.SpectralEfficiency
 }
 
 // capAt returns the capacity scale for server n: capScale[n], or the
@@ -169,10 +188,40 @@ func (s *System) BuildP2A(p *P2A, st *trace.State, freq Frequencies) error {
 	p.capScale = st.CapScale
 	p.haveSnap = false
 	p.planValid = false
-	p.pairArena = p.pairArena[:0]
-	p.pairOff = append(p.pairOff[:0], 0)
-	p.playerDev = p.playerDev[:0]
+
+	// Size the game, pair and snapshot arenas once for the slot, with 1/8
+	// headroom for later slots, instead of growing them by appends.
+	// Covered stations × reachable active servers bounds what the loop
+	// below emits (it also skips drained servers unless a device would be
+	// stranded); the snapshot keeps every device's covered stations.
+	reach := make([]int, stations)
+	for k := range reach {
+		for _, n := range s.Net.ReachableServers(k) {
+			if st.ActiveServer(n) {
+				reach[k]++
+			}
+		}
+	}
+	strategies, covered := 0, 0
+	for i := 0; i < devices; i++ {
+		active := st.ActiveDevice(i)
+		for k := 0; k < stations; k++ {
+			if st.Covered(i, k) {
+				covered++
+				if active {
+					strategies += reach[k]
+				}
+			}
+		}
+	}
+	strategies += strategies / 8
+	b.Reserve(devices, strategies, 3*strategies) // ≤ 3 uses per strategy
+	p.pairArena = slices.Grow(p.pairArena[:0], strategies)
+	p.pairOff = append(slices.Grow(p.pairOff[:0], devices+1), 0)
+	p.playerDev = slices.Grow(p.playerDev[:0], devices)
 	p.devPlayer = resizeNegInt32(p.devPlayer, devices)
+	p.prevChan = slices.Grow(p.prevChan[:0], covered+covered/8)
+	p.prevChanOff = slices.Grow(p.prevChanOff[:0], devices+1)
 
 	for i := 0; i < devices; i++ {
 		if !st.ActiveDevice(i) {
@@ -266,13 +315,15 @@ func (p *P2A) snapshot(st *trace.State) {
 	devices := len(p.devPlayer)
 	p.prevTasks = append(p.prevTasks[:0], st.TaskSizes...)
 	p.prevData = append(p.prevData[:0], st.DataLengths...)
-	if cap(p.prevChannels) < devices*p.stations {
-		p.prevChannels = make([]units.SpectralEfficiency, devices*p.stations)
-	} else {
-		p.prevChannels = p.prevChannels[:devices*p.stations]
-	}
+	p.prevChanOff = append(p.prevChanOff[:0], 0)
+	p.prevChan = p.prevChan[:0]
 	for i := 0; i < devices; i++ {
-		copy(p.prevChannels[i*p.stations:(i+1)*p.stations], st.Channels[i])
+		for k, h := range st.Channels[i] {
+			if h > 0 {
+				p.prevChan = append(p.prevChan, chanEntry{station: int32(k), h: h})
+			}
+		}
+		p.prevChanOff = append(p.prevChanOff, int32(len(p.prevChan)))
 	}
 	p.prevFronthaul = append(p.prevFronthaul[:0], st.FronthaulSE...)
 	p.prevDown = resizeBoolSlice(p.prevDown, p.servers)
@@ -342,6 +393,8 @@ func (s *System) ApplyChurn(p *P2A, st *trace.State, freq Frequencies) error {
 	// keepEligible reports whether device i's strategies are bit-identical
 	// to last slot's: active both slots, same task/data, same channel row,
 	// and no covered station affected by a fronthaul or server change.
+	// CheckState admits only h ≥ 0, so two rows are equal exactly when
+	// their covered (h > 0) entries are, which is what the snapshot keeps.
 	keepEligible := func(i int) bool {
 		if !p.prevDevActive[i] || !st.ActiveDevice(i) {
 			return false
@@ -349,16 +402,22 @@ func (s *System) ApplyChurn(p *P2A, st *trace.State, freq Frequencies) error {
 		if st.TaskSizes[i] != p.prevTasks[i] || st.DataLengths[i] != p.prevData[i] {
 			return false
 		}
-		row, prevRow := st.Channels[i], p.prevChannels[i*stations:(i+1)*stations]
-		for k := 0; k < stations; k++ {
-			if row[k] != prevRow[k] {
+		prev := p.prevChan[p.prevChanOff[i]:p.prevChanOff[i+1]]
+		e := 0
+		for k, h := range st.Channels[i] {
+			if !(h > 0) {
+				// Uncovered now: it must have been uncovered last slot too.
+				if e < len(prev) && int(prev[e].station) == k {
+					return false
+				}
+				continue
+			}
+			if e == len(prev) || int(prev[e].station) != k || prev[e].h != h || p.stationAffected[k] {
 				return false
 			}
-			if row[k] > 0 && p.stationAffected[k] {
-				return false
-			}
+			e++
 		}
-		return true
+		return e == len(prev)
 	}
 
 	// Fast path: nothing structural changed anywhere — only the resource
@@ -397,9 +456,11 @@ func (s *System) ApplyChurn(p *P2A, st *trace.State, freq Frequencies) error {
 	}
 
 	m := b.BeginMutation()
-	p.sparePairArena = p.sparePairArena[:0]
-	p.sparePairOff = append(p.sparePairOff[:0], 0)
-	p.sparePlayerDev = p.sparePlayerDev[:0]
+	// The spare pair arrays receive about as much as the live ones hold:
+	// match their capacity up front, as BeginMutation does for the game.
+	p.sparePairArena = slices.Grow(p.sparePairArena[:0], cap(p.pairArena))
+	p.sparePairOff = append(slices.Grow(p.sparePairOff[:0], cap(p.pairOff)), 0)
+	p.sparePlayerDev = slices.Grow(p.sparePlayerDev[:0], cap(p.playerDev))
 	for i := 0; i < devices; i++ {
 		if !st.ActiveDevice(i) {
 			p.devPlayer[i] = -1
@@ -572,15 +633,28 @@ func (p *P2A) SetDeadline(dl *solver.Deadline) {
 	}
 }
 
+// recycle hands a spent solver result profile back to the solve engine
+// (game.Engine.Recycle) so its next result reuses the memory.
+func (p *P2A) recycle(prof game.Profile) {
+	if p.engine != nil {
+		p.engine.Recycle(prof)
+	}
+}
+
 // Selection converts a game profile into per-device (station, server)
 // choices. The result is always universe-sized: devices outside the
 // active population carry (-1, -1).
 func (p *P2A) Selection(profile game.Profile) Selection {
+	var sel Selection
+	p.selectionInto(&sel, profile)
+	return sel
+}
+
+// selectionInto is Selection writing into sel's existing capacity.
+func (p *P2A) selectionInto(sel *Selection, profile game.Profile) {
 	devices := len(p.devPlayer)
-	sel := Selection{
-		Station: make([]int, devices),
-		Server:  make([]int, devices),
-	}
+	sel.Station = resizeInts(sel.Station, devices)
+	sel.Server = resizeInts(sel.Server, devices)
 	for i := 0; i < devices; i++ {
 		sel.Station[i], sel.Server[i] = -1, -1
 	}
@@ -590,7 +664,6 @@ func (p *P2A) Selection(profile game.Profile) Selection {
 		sel.Station[i] = pair.Station
 		sel.Server[i] = pair.Server
 	}
-	return sel
 }
 
 // Profile converts a universe-sized selection back into a game profile
@@ -692,6 +765,15 @@ func resizeBoolSlice(s []bool, n int) []bool {
 	return s[:n]
 }
 
+// resizeInts returns s with length n (contents unspecified until the
+// caller fills them).
+func resizeInts(s []int, n int) []int {
+	if cap(s) < n {
+		return make([]int, n)
+	}
+	return s[:n]
+}
+
 // resizeNegInt32 returns s with length n and every entry −1.
 func resizeNegInt32(s []int32, n int) []int32 {
 	if cap(s) < n {
@@ -710,7 +792,9 @@ func resizeNegInt32(s []int32, n int) []int32 {
 type P2ASolver interface {
 	// Name identifies the solver in reports ("CGBA", "MCBA", "ROPT", "OPT").
 	Name() string
-	// Solve returns the chosen profile and solver statistics.
+	// Solve returns the chosen profile and solver statistics. The
+	// result's Profile must be memory the solver does not keep: BDMA
+	// reuses it once the round that produced it is over.
 	Solve(p *P2A, src *rng.Source) (game.Result, error)
 }
 

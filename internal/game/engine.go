@@ -51,6 +51,11 @@ type Engine struct {
 	scratchLds []float64 // fresh-loads scratch for exact SocialCost
 	mcbaBest   Profile   // MCBA best-so-far buffer
 
+	// recycled holds result profiles handed back through Recycle; the
+	// next CGBA results copy the profile into them instead of allocating.
+	// Two cover BDMA's round loop, which holds at most two results.
+	recycled [2]Profile
+
 	// Observability (see instruments.go): instr holds the optional obs
 	// handles; tally is the engine-local count state flushed per solve.
 	instr Instruments
@@ -133,6 +138,36 @@ func (e *Engine) SetDeadline(dl *solver.Deadline) { e.deadline = dl }
 // Profile returns a view of the engine's current profile. The slice is
 // owned by the engine; callers must Clone it to retain it across moves.
 func (e *Engine) Profile() Profile { return e.profile }
+
+// Recycle hands back the Profile of an earlier Result the caller no
+// longer uses. The engine keeps up to two such buffers and copies the
+// profile of its next CGBA or CGBASharded results into them instead of
+// allocating, so a caller that solves in a loop stops paying a
+// player-sized allocation per solve. The caller must drop every
+// reference to p: a later Result aliases its memory. Without Recycle
+// every Result owns fresh memory.
+func (e *Engine) Recycle(p Profile) {
+	// Keep the two largest: p replaces the smaller held buffer.
+	k := 0
+	if cap(e.recycled[1]) < cap(e.recycled[0]) {
+		k = 1
+	}
+	if cap(p) > cap(e.recycled[k]) {
+		e.recycled[k] = p[:0]
+	}
+}
+
+// resultProfile copies the current profile for a Result, into a recycled
+// buffer when one is large enough.
+func (e *Engine) resultProfile() Profile {
+	for k, buf := range e.recycled {
+		if buf != nil && cap(buf) >= len(e.profile) {
+			e.recycled[k] = nil
+			return append(buf, e.profile...)
+		}
+	}
+	return e.profile.Clone()
+}
 
 // Loads returns a view of the current per-resource loads.
 func (e *Engine) Loads() []float64 { return e.loads }
@@ -360,8 +395,8 @@ func (e *Engine) CGBA(cfg CGBAConfig, src *rng.Source) (Result, error) {
 		if e.deadline.Expired() {
 			e.recordCGBA(iterations)
 			return Result{
-				Profile:        e.profile.Clone(),
-				Objective:      g.SocialCost(e.profile),
+				Profile:        e.resultProfile(),
+				Objective:      e.SocialCost(),
 				Iterations:     iterations,
 				ObjectiveTrace: objTrace,
 				Truncated:      true,
@@ -403,8 +438,8 @@ func (e *Engine) CGBA(cfg CGBAConfig, src *rng.Source) (Result, error) {
 		if mover < 0 {
 			e.recordCGBA(iterations)
 			return Result{
-				Profile:        e.profile.Clone(),
-				Objective:      g.SocialCost(e.profile),
+				Profile:        e.resultProfile(),
+				Objective:      e.SocialCost(),
 				Iterations:     iterations,
 				ObjectiveTrace: objTrace,
 			}, nil
@@ -416,8 +451,8 @@ func (e *Engine) CGBA(cfg CGBAConfig, src *rng.Source) (Result, error) {
 	}
 	e.recordCGBA(iterations)
 	return Result{
-		Profile:        e.profile.Clone(),
-		Objective:      g.SocialCost(e.profile),
+		Profile:        e.resultProfile(),
+		Objective:      e.SocialCost(),
 		Iterations:     iterations,
 		ObjectiveTrace: objTrace,
 	}, ErrNoConverge

@@ -140,9 +140,15 @@ func (e *Engine) rebuildShortlists(k int) {
 
 	f.slOff = resizeInt32(f.slOff, n+1)
 	f.rho = resizeFloat(f.rho, n)
-	f.slStrat = f.slStrat[:0]
-	f.slUseOff = append(f.slUseOff[:0], 0)
-	f.slUses = f.slUses[:0]
+	// Size the tables once for Σᵢ min(k, |Sᵢ|) entries of at most maxUses
+	// uses each, instead of growing them by appends.
+	entries := 0
+	for i := 0; i < n; i++ {
+		entries += min(k, g.StrategyCount(i))
+	}
+	f.slStrat = reserveSlack(f.slStrat[:0], entries)
+	f.slUseOff = append(reserveSlack(f.slUseOff[:0], entries+1), 0)
+	f.slUses = reserveSlack(f.slUses[:0], entries*g.maxUses)
 	if cap(f.topScore) < k {
 		f.topScore = make([]float64, k)
 		f.topStrat = make([]int32, k)
@@ -387,8 +393,8 @@ func (e *Engine) cgbaPruned(cfg CGBAConfig, src *rng.Source, k int) (Result, err
 	moves := 0
 	result := func(truncated bool) Result {
 		return Result{
-			Profile:        e.profile.Clone(),
-			Objective:      g.SocialCost(e.profile),
+			Profile:        e.resultProfile(),
+			Objective:      e.SocialCost(),
 			Iterations:     moves,
 			ObjectiveTrace: objTrace,
 			Truncated:      truncated,

@@ -410,8 +410,8 @@ func (e *Engine) CGBASharded(cfg CGBAConfig, plan *ShardPlan, src *rng.Source) (
 	moves := 0
 	result := func(truncated bool) Result {
 		return Result{
-			Profile:    e.profile.Clone(),
-			Objective:  g.SocialCost(e.profile),
+			Profile:    e.resultProfile(),
+			Objective:  e.SocialCost(),
 			Iterations: moves,
 			Truncated:  truncated,
 		}

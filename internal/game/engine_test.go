@@ -391,3 +391,53 @@ func TestEngineIsEquilibrium(t *testing.T) {
 		}
 	}
 }
+
+// TestEngineRecycle checks the result-profile reuse contract: a recycled
+// profile's memory backs a later CGBA result with the right contents,
+// results that were not recycled are never written, and a buffer too
+// small for the game is not used.
+func TestEngineRecycle(t *testing.T) {
+	g := randomGame(t, rng.New(81), 12, 4, 7)
+	e := NewEngine(g)
+	solve := func(seed int64) Result {
+		t.Helper()
+		res, err := e.CGBA(CGBAConfig{}, rng.New(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := CGBA(g, CGBAConfig{}, rng.New(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want.Profile {
+			if res.Profile[i] != want.Profile[i] {
+				t.Fatalf("seed %d: profile %v, want %v", seed, res.Profile, want.Profile)
+			}
+		}
+		return res
+	}
+
+	kept := solve(1)
+	keptCopy := kept.Profile.Clone()
+	spent := solve(2)
+	e.Recycle(spent.Profile)
+	reused := solve(3)
+	if &reused.Profile[0] != &spent.Profile[0] {
+		t.Fatal("recycled profile memory not reused")
+	}
+	if &reused.Profile[0] == &kept.Profile[0] {
+		t.Fatal("a result that was not recycled was reused")
+	}
+	solve(4)
+	for i := range keptCopy {
+		if kept.Profile[i] != keptCopy[i] {
+			t.Fatal("a result that was not recycled changed")
+		}
+	}
+
+	e.Recycle(make(Profile, 3)) // too short for 12 players
+	fresh := solve(5)
+	if cap(fresh.Profile) < g.Players() {
+		t.Fatalf("result profile cap %d for %d players", cap(fresh.Profile), g.Players())
+	}
+}

@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Use is one resource consumed by a strategy, with the player-resource
@@ -146,6 +147,18 @@ func (b *Builder) Reset(resources int) {
 	}
 }
 
+// Reserve sizes the arena for a build of up to the given numbers of
+// players, strategies and resource uses, so streaming them does not
+// regrow it. Callers that can bound a build's size before streaming (the
+// per-slot P2-A build) call it after Reset, with whatever headroom they
+// want for later builds; capacity already large enough is kept.
+func (b *Builder) Reserve(players, strategies, uses int) {
+	// Reset left one leading offset in strOff and useOff and no uses.
+	b.g.strOff = slices.Grow(b.g.strOff, players)
+	b.g.useOff = slices.Grow(b.g.useOff, strategies)
+	b.g.uses = slices.Grow(b.g.uses, uses)
+}
+
 // Weights returns the mutable resource-weight slice (length = resources).
 func (b *Builder) Weights() []float64 { return b.g.weights }
 
@@ -244,7 +257,7 @@ func (b *Builder) buildIncidence() {
 	for r := 0; r < resources; r++ {
 		g.useIncOff[r+1] += g.useIncOff[r]
 	}
-	g.useIncPos = resizeInt32(g.useIncPos, len(g.uses))
+	g.useIncPos = growInt32(g.useIncPos, len(g.uses))
 	b.incCursor = resizeInt32(b.incCursor, resources)
 	copy(b.incCursor, g.useIncOff[:resources])
 	for k, u := range g.uses {
@@ -276,7 +289,7 @@ func (b *Builder) buildIncidence() {
 		g.incOff[r+1] += g.incOff[r]
 	}
 	total = g.incOff[resources]
-	g.incPlayer = resizeInt32(g.incPlayer, int(total))
+	g.incPlayer = growInt32(g.incPlayer, int(total))
 	copy(b.incCursor, g.incOff[:resources])
 	for r := range b.seenPlayer {
 		b.seenPlayer[r] = -1
@@ -306,6 +319,27 @@ func resizeInt32(s []int32, n int) []int32 {
 		return make([]int32, n)
 	}
 	return s[:n]
+}
+
+// withSlack returns n plus the 1/8 headroom arena-sized buffers grow
+// with, so the slot-to-slot drift of a population's strategy and use
+// counts fits without regrowing them.
+func withSlack(n int) int { return n + n/8 }
+
+// growInt32 is resizeInt32 for arena-sized buffers: when s is too short
+// it reallocates with withSlack headroom instead of at exactly n.
+func growInt32(s []int32, n int) []int32 {
+	return reserveSlack(s[:0], n)[:n]
+}
+
+// reserveSlack returns the empty buffer s with capacity for at least n
+// elements; a short buffer is reallocated once, with withSlack headroom,
+// for buffers whose required size drifts from slot to slot.
+func reserveSlack[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s
+	}
+	return slices.Grow(s, withSlack(n))
 }
 
 func clearFloats(s []float64) {

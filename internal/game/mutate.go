@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Mutation is an in-flight population change against a Builder's current
@@ -70,9 +71,11 @@ func (b *Builder) BeginMutation() *Mutation {
 	m.maxUses = 0
 	m.lastOld = -1
 	m.err = nil
-	b.spareUses = b.spareUses[:0]
-	b.spareUseOff = append(b.spareUseOff[:0], 0)
-	b.spareStrOff = append(b.spareStrOff[:0], 0)
+	// The spare arena receives a game about the live one's size: match
+	// the live capacity up front instead of growing into it by appends.
+	b.spareUses = slices.Grow(b.spareUses[:0], cap(b.g.uses))
+	b.spareUseOff = append(slices.Grow(b.spareUseOff[:0], cap(b.g.useOff)), 0)
+	b.spareStrOff = append(slices.Grow(b.spareStrOff[:0], cap(b.g.strOff)), 0)
 	return m
 }
 
